@@ -40,41 +40,43 @@ let rules t = t.rules
 
 let eval t ~time sampler =
   let fresh = ref [] in
-  let all = Sampler.series sampler in
   List.iter
     (fun r ->
+      let watched =
+        Sampler.select sampler (fun (k : Sampler.Key.t) ->
+            k.name = r.metric && k.field = r.field)
+      in
       List.iter
         (fun ((k : Sampler.Key.t), s) ->
-          if k.name = r.metric && k.field = r.field then
-            match Series.last s with
-            | None -> ()
-            | Some v ->
-                let id = (r.rule, k) in
-                let firing =
-                  match Hashtbl.find_opt t.active id with
-                  | Some b -> b
-                  | None -> false
+          match Series.last s with
+          | None -> ()
+          | Some v ->
+              let id = (r.rule, k) in
+              let firing =
+                match Hashtbl.find_opt t.active id with
+                | Some b -> b
+                | None -> false
+              in
+              let next =
+                match r.direction with
+                | Above -> if firing then v >= r.resolve else v >= r.fire
+                | Below -> if firing then v <= r.resolve else v <= r.fire
+              in
+              if next <> firing then begin
+                Hashtbl.replace t.active id next;
+                let tr =
+                  {
+                    time;
+                    rule_name = r.rule;
+                    key = k;
+                    state = (if next then Firing else Resolved);
+                    value = v;
+                  }
                 in
-                let next =
-                  match r.direction with
-                  | Above -> if firing then v >= r.resolve else v >= r.fire
-                  | Below -> if firing then v <= r.resolve else v <= r.fire
-                in
-                if next <> firing then begin
-                  Hashtbl.replace t.active id next;
-                  let tr =
-                    {
-                      time;
-                      rule_name = r.rule;
-                      key = k;
-                      state = (if next then Firing else Resolved);
-                      value = v;
-                    }
-                  in
-                  t.log_rev <- tr :: t.log_rev;
-                  fresh := tr :: !fresh
-                end)
-        all)
+                t.log_rev <- tr :: t.log_rev;
+                fresh := tr :: !fresh
+              end)
+        watched)
     t.rules;
   List.rev !fresh
 

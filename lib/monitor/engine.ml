@@ -21,10 +21,6 @@ let create ?(capacity = 256) ?(sample_every = 1) ?(rules = []) ?sink () =
 let sample_every t = t.sample_every
 let due t ~tick = tick mod t.sample_every = 0
 
-let value_str v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
 let sample t ~time registry =
   Sampler.sample t.sampler ~time registry;
   let fresh = Alert.eval t.alerts ~time t.sampler in
@@ -40,7 +36,7 @@ let sample t ~time registry =
                 | Alert.Firing -> "firing"
                 | Alert.Resolved -> "resolved" );
               ("series", Sampler.Key.to_string tr.Alert.key);
-              ("value", value_str tr.Alert.value);
+              ("value", Telemetry.Export.float_str tr.Alert.value);
             ])
         fresh
   | None -> ());

@@ -62,9 +62,27 @@ let sample t ~time registry =
           end)
     (Telemetry.Registry.snapshot registry)
 
-let series t =
-  Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.table []
-  |> List.sort (fun (a, _) (b, _) -> Key.compare a b)
+(* Decorate, sort, undecorate: each key's label string is rendered once
+   per sort, not once per comparison as {!Key.compare} would. *)
+let sorted entries =
+  List.map
+    (fun (((k : Key.t), _) as entry) ->
+      (Telemetry.Registry.Labels.to_string k.labels, entry))
+    entries
+  |> List.sort (fun (la, ((a : Key.t), _)) (lb, ((b : Key.t), _)) ->
+         match String.compare a.name b.name with
+         | 0 -> (
+             match String.compare la lb with
+             | 0 -> String.compare a.field b.field
+             | c -> c)
+         | c -> c)
+  |> List.map snd
+
+let select t keep =
+  Hashtbl.fold (fun k s acc -> if keep k then (k, s) :: acc else acc) t.table []
+  |> sorted
+
+let series t = select t (fun _ -> true)
 
 let find t k = Hashtbl.find_opt t.table k
 
@@ -75,5 +93,5 @@ let merge ~into ?(labels = []) src =
         { k with Key.labels = Telemetry.Registry.Labels.v (labels @ k.labels) }
       in
       let dst = series_for into k in
-      List.iter (Series.append_point dst) (Series.points s))
+      Series.append_series dst s)
     (series src)

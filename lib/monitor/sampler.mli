@@ -48,12 +48,17 @@ val sample : t -> time:float -> Telemetry.Registry.t -> unit
 val series : t -> (Key.t * Series.t) list
 (** All series sorted by {!Key.compare}. *)
 
+val select : t -> (Key.t -> bool) -> (Key.t * Series.t) list
+(** The series whose key satisfies the predicate, sorted by
+    {!Key.compare}: [select t keep] is [List.filter] of {!series} but
+    sorts only what it keeps. *)
+
 val find : t -> Key.t -> Series.t option
 
 val merge : into:t -> ?labels:(string * string) list -> t -> unit
 (** Transplant every series of the source, with [labels] prepended to
     each key (how a fleet tags a device's series with [device=...]).
-    Points land via {!Series.append_point}, preserving the source's
+    Points land via {!Series.append_series}, preserving the source's
     aggregation; when a relabeled key already exists in [into], the
     source points are appended after the existing ones — callers merge
     in submission order to keep this deterministic.

@@ -4,7 +4,8 @@
     are added: samples are aggregated into an open point until [stride]
     of them accumulate, the point is committed, and whenever the buffer
     fills the committed points are compacted pairwise (length halves,
-    stride doubles).  Memory is O(capacity) regardless of run length,
+    stride doubles).  Memory is O(capacity) regardless of run length
+    (it grows with the points held, up to [capacity]),
     resolution degrades gracefully from the oldest data first — the
     classic downsampling ring the monitor builds its timelines on.
 
@@ -32,13 +33,20 @@ val create : ?capacity:int -> unit -> t
 val add : t -> time:float -> float -> unit
 (** Record one sample.  O(1) amortized. *)
 
-val append_point : t -> point -> unit
-(** Commit an already-aggregated point (flushing any open window first):
-    how {!Sampler.merge} transplants a sub-series without losing its
-    aggregation. *)
+val append_series : t -> t -> unit
+(** [append_series t src] commits every point of [src] (its open window
+    included) to [t] as an already-aggregated point, oldest first, after
+    flushing [t]'s open window; an empty [src] leaves [t] untouched.
+    This is how {!Sampler.merge} transplants a sub-series without losing
+    its aggregation. *)
 
 val points : t -> point list
 (** Committed points oldest first, then the open window if any. *)
+
+val iter : (point -> unit) -> t -> unit
+(** Apply a function to each point {!points} would return, in the same
+    order, without building the list.  Points are stored unboxed, so
+    each record is built as it is passed. *)
 
 val length : t -> int
 (** Number of points {!points} would return. *)

@@ -251,51 +251,70 @@ let pp fmt t =
       t.worst
   end
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jf v = if Float.is_nan v then "null" else Printf.sprintf "%.17g" v
-
-let jstats label (s : stats) =
-  Printf.sprintf
-    "\"%s_mean\":%s,\"%s_min\":%s,\"%s_max\":%s,\"%s_p50\":%s,\"%s_p90\":%s,\"%s_p99\":%s"
-    label (jf s.mean) label (jf s.smin) label (jf s.smax) label (jf s.p50)
-    label (jf s.p90) label (jf s.p99)
-
 let to_jsonl t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"record\":\"fleet\",\"epoch\":\"%s\",\"devices\":%d,\"healthy\":%d,\"degraded\":%d,\"failing\":%d,\"retired\":%d,%s,%s,%s,%s,\"cv\":%s,\"gini\":%s,\"retries\":%d,\"escalations\":%d,\"reclaims\":%d,\"host_writes\":%d,\"retry_rate\":%s,\"escalation_rate\":%s}\n"
-       (json_escape t.epoch) t.devices
-       (grade_count t Health.Healthy)
-       (grade_count t Health.Degraded)
-       (grade_count t Health.Failing)
-       (grade_count t Health.Retired)
-       (jstats "pec" t.pec) (jstats "spread" t.spread) (jstats "rber" t.rber)
-       (jstats "retry" t.retry) (jf t.cv) (jf t.gini) t.retries t.escalations
-       t.reclaims t.host_writes (jf t.fleet_retry_rate)
-       (jf t.fleet_escalation_rate));
+  let str = Buffer.add_string buf in
+  let key k =
+    str ",\"";
+    str k;
+    str "\":"
+  in
+  let int k v =
+    key k;
+    Telemetry.Export.add_int buf v
+  in
+  let num k v =
+    key k;
+    if Float.is_nan v then str "null" else Telemetry.Export.add_g17 buf v
+  in
+  let text k v =
+    key k;
+    Telemetry.Export.add_json_string buf v
+  in
+  let stats label (s : stats) =
+    num (label ^ "_mean") s.mean;
+    num (label ^ "_min") s.smin;
+    num (label ^ "_max") s.smax;
+    num (label ^ "_p50") s.p50;
+    num (label ^ "_p90") s.p90;
+    num (label ^ "_p99") s.p99
+  in
+  str "{\"record\":\"fleet\"";
+  text "epoch" t.epoch;
+  int "devices" t.devices;
+  int "healthy" (grade_count t Health.Healthy);
+  int "degraded" (grade_count t Health.Degraded);
+  int "failing" (grade_count t Health.Failing);
+  int "retired" (grade_count t Health.Retired);
+  stats "pec" t.pec;
+  stats "spread" t.spread;
+  stats "rber" t.rber;
+  stats "retry" t.retry;
+  num "cv" t.cv;
+  num "gini" t.gini;
+  int "retries" t.retries;
+  int "escalations" t.escalations;
+  int "reclaims" t.reclaims;
+  int "host_writes" t.host_writes;
+  num "retry_rate" t.fleet_retry_rate;
+  num "escalation_rate" t.fleet_escalation_rate;
+  str "}\n";
   List.iteri
     (fun i (obs, g) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"record\":\"device\",\"rank\":%d,\"id\":\"%s\",\"grade\":\"%s\",\"pec_max\":%d,\"pec_min\":%d,\"rber_worst\":%s,\"tolerable_rber\":%s,\"retries\":%d,\"escalations\":%d,\"reclaims\":%d,\"host_writes\":%d,\"alive\":%b}\n"
-           (i + 1) (json_escape obs.id)
-           (Health.grade_label g)
-           obs.pec_max obs.pec_min (jf obs.rber_worst) (jf obs.tolerable_rber)
-           obs.retries obs.escalations obs.reclaims obs.host_writes obs.alive))
+      str "{\"record\":\"device\"";
+      int "rank" (i + 1);
+      text "id" obs.id;
+      text "grade" (Health.grade_label g);
+      int "pec_max" obs.pec_max;
+      int "pec_min" obs.pec_min;
+      num "rber_worst" obs.rber_worst;
+      num "tolerable_rber" obs.tolerable_rber;
+      int "retries" obs.retries;
+      int "escalations" obs.escalations;
+      int "reclaims" obs.reclaims;
+      int "host_writes" obs.host_writes;
+      key "alive";
+      str (string_of_bool obs.alive);
+      str "}\n")
     t.worst;
   Buffer.contents buf

@@ -74,7 +74,8 @@ module Histogram = struct
     Stdlib.max 0 (Stdlib.min (buckets - 1) raw)
 
   let add t x =
-    t.counts.(bucket_of t x) <- t.counts.(bucket_of t x) + 1;
+    let i = bucket_of t x in
+    t.counts.(i) <- t.counts.(i) + 1;
     t.total_count <- t.total_count + 1;
     t.sum <- t.sum +. x
 

@@ -1,11 +1,49 @@
 open Registry
 
-(* --- shared helpers ------------------------------------------------------ *)
+(* --- number writer ------------------------------------------------------- *)
 
-let float_str x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6g" x
+(* Every exporter renders its floats through the writers below, which
+   append to a caller-owned [Buffer] (no shared mutable state: exporters run
+   on pool workers).  The bytes are exactly those of the [Printf]
+   conversions they replace.  Integer-valued floats below 1e15 are
+   written as decimal digits directly: for them ["%.0f"], ["%.17g"] and
+   the digits agree byte for byte, and they are most of what a
+   timeline or snapshot holds.  Every other float goes straight to the
+   C primitive that [Printf]'s ["%.17g"] and ["%.6g"] conversions call. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+let rec add_digits buffer n =
+  if n >= 10 then add_digits buffer (n / 10);
+  Buffer.add_char buffer (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_float buffer ~fallback x =
+  if Float.is_integer x && Float.abs x < 1e15 then begin
+    (* [%.0f] keeps the sign of -0. *)
+    if Float.sign_bit x then Buffer.add_char buffer '-';
+    add_digits buffer (int_of_float (Float.abs x))
+  end
+  else Buffer.add_string buffer (format_float fallback x)
+
+let add_int buffer n =
+  if n >= 0 then add_digits buffer n
+  else Buffer.add_string buffer (string_of_int n)
+
+let add_g17 buffer x = add_float buffer ~fallback:"%.17g" x
+let add_float_str buffer x = add_float buffer ~fallback:"%.6g" x
+
+let add_json_float buffer x =
+  if Float.is_nan x || Float.abs x = infinity then
+    Buffer.add_string buffer "null"
+  else add_g17 buffer x
+
+let render add x =
+  let buffer = Buffer.create 24 in
+  add buffer x;
+  Buffer.contents buffer
+
+let float_str x = render add_float_str x
+let json_float x = render add_json_float x
 
 (* --- console table ------------------------------------------------------- *)
 
@@ -43,17 +81,16 @@ let pp_table ppf samples =
 
 (* --- Prometheus text exposition ------------------------------------------ *)
 
-let prom_float x =
-  if Float.is_nan x then "NaN"
-  else if x = infinity then "+Inf"
-  else if x = neg_infinity then "-Inf"
-  else float_str x
+let add_prom_float buffer x =
+  if Float.is_nan x then Buffer.add_string buffer "NaN"
+  else if x = infinity then Buffer.add_string buffer "+Inf"
+  else if x = neg_infinity then Buffer.add_string buffer "-Inf"
+  else add_float_str buffer x
 
 (* Prometheus label values escape exactly '\', '"' and newline — not
    OCaml's %S repertoire, whose \t / \xNN escapes a Prometheus scraper
    would read literally. *)
-let prom_escape s =
-  let buffer = Buffer.create (String.length s + 2) in
+let add_prom_escaped buffer s =
   String.iter
     (fun c ->
       match c with
@@ -61,19 +98,21 @@ let prom_escape s =
       | '"' -> Buffer.add_string buffer "\\\""
       | '\n' -> Buffer.add_string buffer "\\n"
       | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
+    s
 
-let prom_labels labels =
-  match labels with
-  | [] -> ""
-  | _ ->
-      "{"
-      ^ String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (prom_escape v))
-             labels)
-      ^ "}"
+let add_prom_labels buffer labels =
+  if labels <> [] then begin
+    Buffer.add_char buffer '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buffer ',';
+        Buffer.add_string buffer k;
+        Buffer.add_string buffer "=\"";
+        add_prom_escaped buffer v;
+        Buffer.add_char buffer '"')
+      labels;
+    Buffer.add_char buffer '}'
+  end
 
 let to_prometheus samples =
   let buffer = Buffer.create 1024 in
@@ -81,23 +120,37 @@ let to_prometheus samples =
   let header name help kind =
     if not (Hashtbl.mem headed name) then begin
       Hashtbl.add headed name ();
-      if help <> "" then
-        Buffer.add_string buffer (Printf.sprintf "# HELP %s %s\n" name help);
-      Buffer.add_string buffer (Printf.sprintf "# TYPE %s %s\n" name kind)
+      if help <> "" then begin
+        Buffer.add_string buffer "# HELP ";
+        Buffer.add_string buffer name;
+        Buffer.add_char buffer ' ';
+        Buffer.add_string buffer help;
+        Buffer.add_char buffer '\n'
+      end;
+      Buffer.add_string buffer "# TYPE ";
+      Buffer.add_string buffer name;
+      Buffer.add_char buffer ' ';
+      Buffer.add_string buffer kind;
+      Buffer.add_char buffer '\n'
     end
+  in
+  let line name suffix labels add_value value =
+    Buffer.add_string buffer name;
+    Buffer.add_string buffer suffix;
+    add_prom_labels buffer labels;
+    Buffer.add_char buffer ' ';
+    add_value buffer value;
+    Buffer.add_char buffer '\n'
   in
   List.iter
     (fun s ->
       match s.value with
       | Counter v ->
           header s.name s.help "counter";
-          Buffer.add_string buffer
-            (Printf.sprintf "%s%s %d\n" s.name (prom_labels s.labels) v)
+          line s.name "" s.labels add_int v
       | Gauge v ->
           header s.name s.help "gauge";
-          Buffer.add_string buffer
-            (Printf.sprintf "%s%s %s\n" s.name (prom_labels s.labels)
-               (prom_float v))
+          line s.name "" s.labels add_prom_float v
       | Histogram sum ->
           header s.name s.help "summary";
           (* An empty histogram has no quantiles to report (they would
@@ -106,31 +159,24 @@ let to_prometheus samples =
           if sum.count > 0 then
             List.iter
               (fun (quantile, v) ->
-                Buffer.add_string buffer
-                  (Printf.sprintf "%s%s %s\n" s.name
-                     (prom_labels
-                        (Labels.v (("quantile", quantile) :: s.labels)))
-                     (prom_float v)))
+                line s.name ""
+                  (Labels.v (("quantile", quantile) :: s.labels))
+                  add_prom_float v)
               [
                 ("0.5", sum.p50); ("0.9", sum.p90); ("0.95", sum.p95);
                 ("0.99", sum.p99); ("0.999", sum.p999);
               ];
-          Buffer.add_string buffer
-            (Printf.sprintf "%s_count%s %d\n" s.name (prom_labels s.labels)
-               sum.count);
+          line s.name "_count" s.labels add_int sum.count;
           let total =
             if sum.count = 0 then 0. else sum.mean *. float_of_int sum.count
           in
-          Buffer.add_string buffer
-            (Printf.sprintf "%s_sum%s %s\n" s.name (prom_labels s.labels)
-               (prom_float total)))
+          line s.name "_sum" s.labels add_prom_float total)
     samples;
   Buffer.contents buffer
 
 (* --- JSONL ---------------------------------------------------------------- *)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 2) in
+let add_json_escaped buffer s =
   String.iter
     (fun c ->
       match c with
@@ -141,45 +187,64 @@ let json_escape s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buffer c)
-    s;
+    s
+
+let json_escape s =
+  let buffer = Buffer.create (String.length s + 2) in
+  add_json_escaped buffer s;
   Buffer.contents buffer
 
-let json_float x =
-  if Float.is_nan x || Float.abs x = infinity then "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.17g" x
+let add_json_string buffer s =
+  Buffer.add_char buffer '"';
+  add_json_escaped buffer s;
+  Buffer.add_char buffer '"'
 
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
+let add_json_labels buffer labels =
+  Buffer.add_char buffer '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buffer ',';
+      add_json_string buffer k;
+      Buffer.add_char buffer ':';
+      add_json_string buffer v)
+    labels;
+  Buffer.add_char buffer '}'
 
 let to_jsonl samples =
-  let line s =
-    let common =
-      Printf.sprintf "\"name\":\"%s\",\"labels\":%s" (json_escape s.name)
-        (json_labels s.labels)
-    in
-    match s.value with
-    | Counter v ->
-        Printf.sprintf "{%s,\"type\":\"counter\",\"value\":%d}" common v
-    | Gauge v ->
-        Printf.sprintf "{%s,\"type\":\"gauge\",\"value\":%s}" common
-          (json_float v)
-    | Histogram sum ->
-        Printf.sprintf
-          "{%s,\"type\":\"histogram\",\"count\":%d,\"mean\":%s,\"min\":%s,\
-           \"max\":%s,\"p50\":%s,\"p90\":%s,\"p95\":%s,\"p99\":%s,\"p999\":%s}"
-          common sum.count (json_float sum.mean) (json_float sum.min)
-          (json_float sum.max) (json_float sum.p50) (json_float sum.p90)
-          (json_float sum.p95) (json_float sum.p99) (json_float sum.p999)
+  let buffer = Buffer.create 1024 in
+  let field name add value =
+    Buffer.add_string buffer ",\"";
+    Buffer.add_string buffer name;
+    Buffer.add_string buffer "\":";
+    add buffer value
   in
-  String.concat "" (List.map (fun s -> line s ^ "\n") samples)
+  List.iter
+    (fun s ->
+      Buffer.add_string buffer "{\"name\":";
+      add_json_string buffer s.name;
+      Buffer.add_string buffer ",\"labels\":";
+      add_json_labels buffer s.labels;
+      (match s.value with
+      | Counter v ->
+          Buffer.add_string buffer ",\"type\":\"counter\"";
+          field "value" add_int v
+      | Gauge v ->
+          Buffer.add_string buffer ",\"type\":\"gauge\"";
+          field "value" add_json_float v
+      | Histogram sum ->
+          Buffer.add_string buffer ",\"type\":\"histogram\"";
+          field "count" add_int sum.count;
+          field "mean" add_json_float sum.mean;
+          field "min" add_json_float sum.min;
+          field "max" add_json_float sum.max;
+          field "p50" add_json_float sum.p50;
+          field "p90" add_json_float sum.p90;
+          field "p95" add_json_float sum.p95;
+          field "p99" add_json_float sum.p99;
+          field "p999" add_json_float sum.p999);
+      Buffer.add_string buffer "}\n")
+    samples;
+  Buffer.contents buffer
 
 (* A minimal JSON value parser, sufficient for the flat objects emitted
    above (strings, numbers, null, one level of nested object for labels). *)

@@ -34,14 +34,48 @@ val of_jsonl : string -> Registry.sample list
 val write_file : path:string -> string -> unit
 (** Write exporter output to [path], with ["-"] meaning stdout. *)
 
-(** {2 JSON building blocks}
+(** {2 Number writer and JSON building blocks}
 
-    Reused by the monitor's timeline and Chrome-trace exporters so
-    every JSON artifact escapes and formats identically. *)
+    Shared by every exporter here and by the monitor's timeline and
+    Chrome-trace exporters and the fleet report, so every artifact
+    escapes and formats numbers identically.  The [add_*] writers
+    append to a caller-owned buffer; none keeps shared mutable state,
+    so they are safe on any domain.  Each float writer produces exactly
+    the bytes of the [Printf] conversion named in its doc, but writes
+    integer-valued floats below 1e15 as digits without going through a
+    format string. *)
 
-val json_escape : string -> string
-(** Escape a string for inclusion inside JSON double quotes. *)
+val add_int : Buffer.t -> int -> unit
+(** Bytes of [string_of_int]. *)
+
+val add_g17 : Buffer.t -> float -> unit
+(** Bytes of [Printf.sprintf "%.17g"] (round-trip exact; non-finite
+    values render as the C library prints them). *)
+
+val add_json_float : Buffer.t -> float -> unit
+(** Deterministic JSON number: integers as ["%.0f"], others as
+    ["%.17g"], non-finite as [null]. *)
 
 val json_float : float -> string
-(** Deterministic float rendering: integers as ["%.0f"], others as
-    ["%.17g"] (round-trip exact), non-finite as ["null"]. *)
+(** {!add_json_float} into a fresh string. *)
+
+val add_float_str : Buffer.t -> float -> unit
+(** The short form the console table, Prometheus values and alert
+    trace events use: integers below 1e15 as ["%.0f"], others as
+    ["%.6g"]. *)
+
+val float_str : float -> string
+(** {!add_float_str} into a fresh string. *)
+
+val add_json_escaped : Buffer.t -> string -> unit
+(** Append a string escaped for inclusion inside JSON double quotes. *)
+
+val json_escape : string -> string
+(** {!add_json_escaped} into a fresh string. *)
+
+val add_json_string : Buffer.t -> string -> unit
+(** Append a string as a quoted, escaped JSON string. *)
+
+val add_json_labels : Buffer.t -> Registry.Labels.t -> unit
+(** Append a label set as a flat JSON object of strings, in label
+    order. *)

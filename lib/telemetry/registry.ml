@@ -146,11 +146,15 @@ module Histogram = struct
       Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
     end
 
+  let record t x =
+    Sim.Stats.Histogram.add t.buckets x;
+    Sim.Stats.Online.add t.online x
+
+  (* The hot path: no closure on the unshared (chunk-local) registries,
+     which see every flash-op latency of a monitored fleet. *)
   let observe t x =
     if t.active then
-      locked t (fun () ->
-          Sim.Stats.Histogram.add t.buckets x;
-          Sim.Stats.Online.add t.online x)
+      if not t.shared then record t x else locked t (fun () -> record t x)
 
   let count t = locked t (fun () -> Sim.Stats.Online.count t.online)
   let mean t = locked t (fun () -> Sim.Stats.Online.mean t.online)
@@ -189,7 +193,14 @@ type metric =
   | Gauge_m of Gauge.t
   | Histogram_m of Histogram.t
 
-type entry = { labels : Labels.t; help : string; metric : metric }
+(* [rendered] is [Labels.to_string labels], kept so that sorting by
+   (name, labels) never re-renders a label set. *)
+type entry = {
+  labels : Labels.t;
+  rendered : string;
+  help : string;
+  metric : metric;
+}
 
 type t = {
   live : bool;
@@ -235,7 +246,8 @@ let locked t f =
    registry mutex so components may be constructed from pool workers. *)
 let register t ~name ~labels ~help ~kind make_metric same_kind =
   let labels = Labels.v labels in
-  let key = name ^ "{" ^ Labels.to_string labels in
+  let rendered = Labels.to_string labels in
+  let key = name ^ "{" ^ rendered in
   locked t @@ fun () ->
   match Hashtbl.find_opt t.table key with
   | Some entry -> (
@@ -257,7 +269,7 @@ let register t ~name ~labels ~help ~kind make_metric same_kind =
                    (kind_name other.metric)))
         t.names;
       let metric = make_metric () in
-      Hashtbl.replace t.table key { labels; help; metric };
+      Hashtbl.replace t.table key { labels; rendered; help; metric };
       t.names <- (name, key) :: t.names;
       match same_kind metric with Some m -> m | None -> assert false
 
@@ -324,7 +336,14 @@ let summarize (h : Histogram.t) =
     p999 = Histogram.percentile h 0.999;
   }
 
-let entries t = locked t (fun () -> List.map (fun (name, key) -> (name, Hashtbl.find t.table key)) t.names)
+(* Every entry paired with its name, sorted by (name, labels). *)
+let sorted_entries t =
+  locked t (fun () ->
+      List.map (fun (name, key) -> (name, Hashtbl.find t.table key)) t.names)
+  |> List.sort (fun (a, (ea : entry)) (b, eb) ->
+         match String.compare a b with
+         | 0 -> String.compare ea.rendered eb.rendered
+         | c -> c)
 
 let snapshot t =
   List.map
@@ -336,13 +355,7 @@ let snapshot t =
         | Histogram_m h -> Histogram (summarize h)
       in
       { name; labels = entry.labels; help = entry.help; value })
-    (entries t)
-  |> List.sort (fun a b ->
-         match String.compare a.name b.name with
-         | 0 ->
-             String.compare (Labels.to_string a.labels)
-               (Labels.to_string b.labels)
-         | c -> c)
+    (sorted_entries t)
 
 (* Reduce [src] into [into]: counters add, histograms combine via
    Sim.Stats merges, gauges adopt the source value (the merge caller
@@ -354,16 +367,6 @@ let snapshot t =
 let merge ~into src =
   if is_null into || is_null src then ()
   else begin
-    let sorted =
-      List.sort
-        (fun (a, (ea : entry)) (b, eb) ->
-          match String.compare a b with
-          | 0 ->
-              String.compare (Labels.to_string ea.labels)
-                (Labels.to_string eb.labels)
-          | c -> c)
-        (entries src)
-    in
     List.iter
       (fun (name, (entry : entry)) ->
         let labels = entry.labels and help = entry.help in
@@ -379,5 +382,5 @@ let merge ~into src =
                 ~lo:h.Histogram.lo ~hi:h.Histogram.hi name
             in
             Histogram.merge_into ~dst h)
-      sorted
+      (sorted_entries src)
   end

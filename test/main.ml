@@ -6,6 +6,7 @@ let () =
       ("parallel", Test_parallel.suite);
       ("telemetry", Test_telemetry.suite);
       ("monitor", Test_monitor.suite);
+      ("render", Test_render.suite);
       ("obs", Test_obs.suite);
       ("ecc", Test_ecc.suite);
       ("flash", Test_flash.suite);

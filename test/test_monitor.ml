@@ -67,6 +67,141 @@ let prop_series_invariants =
       && List.fold_left (fun a (p : Monitor.Series.point) -> a + p.n) 0 points
          = List.length samples)
 
+(* The boxed, record-per-point series the unboxed one replaced, kept as
+   the oracle: the same samples and merges must give the same points,
+   bit for bit. *)
+module Boxed_series = struct
+  type point = Monitor.Series.point
+
+  type t = {
+    capacity : int;
+    data : point array;
+    mutable len : int;
+    mutable stride : int;
+    mutable pending : point option;
+    mutable pending_n : int;
+  }
+
+  let point_of ~time v : point =
+    { t0 = time; t1 = time; last = v; mean = v; vmin = v; vmax = v; n = 1 }
+
+  let combine (a : point) (b : point) : point =
+    {
+      t0 = a.t0;
+      t1 = b.t1;
+      last = b.last;
+      mean =
+        ((a.mean *. float_of_int a.n) +. (b.mean *. float_of_int b.n))
+        /. float_of_int (a.n + b.n);
+      vmin = Float.min a.vmin b.vmin;
+      vmax = Float.max a.vmax b.vmax;
+      n = a.n + b.n;
+    }
+
+  let create ~capacity =
+    let capacity = if capacity land 1 = 1 then capacity + 1 else capacity in
+    {
+      capacity;
+      data = Array.make capacity (point_of ~time:0. 0.);
+      len = 0;
+      stride = 1;
+      pending = None;
+      pending_n = 0;
+    }
+
+  let commit t p =
+    t.data.(t.len) <- p;
+    t.len <- t.len + 1;
+    if t.len = t.capacity then begin
+      let half = t.len / 2 in
+      for i = 0 to half - 1 do
+        t.data.(i) <- combine t.data.(2 * i) t.data.((2 * i) + 1)
+      done;
+      t.len <- half;
+      t.stride <- t.stride * 2
+    end
+
+  let flush_pending t =
+    match t.pending with
+    | None -> ()
+    | Some p ->
+        t.pending <- None;
+        t.pending_n <- 0;
+        commit t p
+
+  let append_point t p =
+    flush_pending t;
+    commit t p
+
+  let add t ~time v =
+    let p1 = point_of ~time v in
+    (match t.pending with
+    | None ->
+        t.pending <- Some p1;
+        t.pending_n <- 1
+    | Some p ->
+        t.pending <- Some (combine p p1);
+        t.pending_n <- t.pending_n + 1);
+    if t.pending_n >= t.stride then flush_pending t
+
+  let points t =
+    let committed = Array.to_list (Array.sub t.data 0 t.len) in
+    match t.pending with None -> committed | Some p -> committed @ [ p ]
+end
+
+let same_points (a : Monitor.Series.point list) (b : Monitor.Series.point list)
+    =
+  let bits x = Int64.bits_of_float x in
+  List.length a = List.length b
+  && List.for_all2
+       (fun (p : Monitor.Series.point) (q : Monitor.Series.point) ->
+         bits p.t0 = bits q.t0
+         && bits p.t1 = bits q.t1
+         && bits p.last = bits q.last
+         && bits p.mean = bits q.mean
+         && bits p.vmin = bits q.vmin
+         && bits p.vmax = bits q.vmax
+         && p.n = q.n)
+       a b
+
+(* Random sample streams into two series, then the second appended to
+   the first (how a fleet merges a device's series), on both
+   implementations. *)
+let prop_series_matches_boxed =
+  QCheck.Test.make ~count:500
+    ~name:"unboxed series matches the boxed oracle bit for bit"
+    QCheck.(
+      triple (int_bound 19)
+        (list (pair (float_bound_inclusive 1000.) float))
+        (list (pair (float_bound_inclusive 1000.) (float_bound_inclusive 50.))))
+    (fun (c, xs, ys) ->
+      let capacity = c + 2 in
+      let fill_new samples =
+        let s = Monitor.Series.create ~capacity () in
+        List.iter (fun (t, v) -> Monitor.Series.add s ~time:t v) samples;
+        s
+      in
+      let fill_old samples =
+        let s = Boxed_series.create ~capacity in
+        List.iter (fun (t, v) -> Boxed_series.add s ~time:t v) samples;
+        s
+      in
+      let a = fill_new xs and b = fill_new ys in
+      let a' = fill_old xs and b' = fill_old ys in
+      let before =
+        same_points (Monitor.Series.points a) (Boxed_series.points a')
+        && same_points (Monitor.Series.points b) (Boxed_series.points b')
+        && Monitor.Series.last a
+           = Option.map
+               (fun (p : Monitor.Series.point) -> p.last)
+               (List.nth_opt (List.rev (Boxed_series.points a')) 0)
+      in
+      Monitor.Series.append_series a b;
+      List.iter (Boxed_series.append_point a') (Boxed_series.points b');
+      before
+      && same_points (Monitor.Series.points a) (Boxed_series.points a')
+      && Monitor.Series.stride a = a'.Boxed_series.stride)
+
 (* --- Sampler ----------------------------------------------------------------- *)
 
 let test_sampler_snapshots_registry () =
@@ -471,6 +606,7 @@ let suite =
     ("series: small inputs", `Quick, test_series_small);
     ("series: downsampling invariants", `Quick, test_series_downsamples);
     QCheck_alcotest.to_alcotest prop_series_invariants;
+    QCheck_alcotest.to_alcotest prop_series_matches_boxed;
     ("sampler: registry snapshots", `Quick, test_sampler_snapshots_registry);
     ("sampler: labeled merge", `Quick, test_sampler_merge_labels);
     ("alert: hysteresis band", `Quick, test_alert_hysteresis);
