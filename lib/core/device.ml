@@ -136,11 +136,12 @@ type t = {
   mutable dead : bool;
   mutable decommissions : int;
   mutable regenerations : int;
-  (* Bulk-aging stream cache: the active-minidisk array and its
-     slot-base table, valid while [stream_gen] matches the registry's
-     generation.  The per-op path deliberately does not use it — it is
-     the retained oracle and stays byte-for-byte the code it always
-     was. *)
+  (* Flat-LBA translation cache: the active-minidisk array (increasing
+     id order) and its slot-base table, valid while [stream_gen] matches
+     the registry's generation.  Every registry mutation bumps the
+     generation and [Minidisk.t] is private, so the cache cannot go
+     stale; the flat adapter's per-op I/O, its recovery hook and the
+     bulk-aging stream all translate through it. *)
   mutable stream_gen : int;
   mutable stream_mdisks : Minidisk.t array;
   mutable stream_base : int array;
@@ -542,57 +543,61 @@ let recover_no_space t ~mdisk ~logical ~payload =
   in
   recover ()
 
+(* The I/O bodies below take an already-resolved live minidisk: the
+   mdisk-native entry points resolve it by id, the flat adapter through
+   its translation cache. *)
+let write_to t (m : Minidisk.t) ~lba ~payload =
+  let logical = Minidisk.Registry.engine_logical t.registry m ~lba in
+  match Ftl.Engine.write t.engine ~logical ~payload with
+  | Ok () ->
+      maintain t;
+      Ok ()
+  | Error `No_space ->
+      recover_no_space t ~mdisk:m.Minidisk.id ~logical ~payload
+
+let read_from t (m : Minidisk.t) ~lba =
+  let logical = Minidisk.Registry.engine_logical t.registry m ~lba in
+  match Ftl.Engine.read t.engine ~logical with
+  | Error `Uncorrectable as e ->
+      (* Attribute the residual-UBER event to the failing page's
+         tiredness level (error path, so the lookup is free in
+         aggregate). *)
+      (match Ftl.Engine.locate t.engine ~logical with
+      | Some { Ftl.Location.block; page; _ } ->
+          Telemetry.Registry.Counter.incr
+            t.tel.tel_uncorrectable.(t.levels.(page_index t.geometry ~block
+                                                 ~page))
+      | None -> ());
+      (e :> (int, read_error) result)
+  | result -> (result :> (int, read_error) result)
+
+let trim_in t (m : Minidisk.t) ~lba =
+  Ftl.Engine.discard t.engine
+    ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
+
 let write t ~mdisk ~lba ~payload =
   if t.dead then Error `Dead
   else
     match find_active t mdisk with
     | None -> Error `Unknown_mdisk
-    | Some m -> (
-        let logical = Minidisk.Registry.engine_logical t.registry m ~lba in
-        match Ftl.Engine.write t.engine ~logical ~payload with
-        | Ok () ->
-            maintain t;
-            Ok ()
-        | Error `No_space -> recover_no_space t ~mdisk ~logical ~payload)
+    | Some m -> write_to t m ~lba ~payload
 
 let read t ~mdisk ~lba =
   if t.dead then Error `Dead
   else
     match find_readable t mdisk with
     | None -> Error `Unknown_mdisk
-    | Some m -> (
-        let logical = Minidisk.Registry.engine_logical t.registry m ~lba in
-        match Ftl.Engine.read t.engine ~logical with
-        | Error `Uncorrectable as e ->
-            (* Attribute the residual-UBER event to the failing page's
-               tiredness level (error path, so the lookup is free in
-               aggregate). *)
-            (match Ftl.Engine.locate t.engine ~logical with
-            | Some { Ftl.Location.block; page; _ } ->
-                Telemetry.Registry.Counter.incr
-                  t.tel.tel_uncorrectable.(t.levels.(page_index t.geometry
-                                                       ~block ~page))
-            | None -> ());
-            (e :> (int, read_error) result)
-        | result -> (result :> (int, read_error) result))
+    | Some m -> read_from t m ~lba
 
 let trim t ~mdisk ~lba =
   if not t.dead then
-    match find_active t mdisk with
-    | None -> ()
-    | Some m ->
-        Ftl.Engine.discard t.engine
-          ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
+    match find_active t mdisk with None -> () | Some m -> trim_in t m ~lba
 
 (* Engine logicals are slot-addressed; reverse-map one to the minidisk
    occupying that slot.  Draining minidisks are still readable — their
    reads can escalate into live repair like any other. *)
 let mdisk_of_logical t ~logical =
-  let slot = logical / t.config.mdisk_opages in
-  let matches m = m.Minidisk.slot = slot in
-  match List.find_opt matches (Minidisk.Registry.active t.registry) with
-  | Some _ as found -> found
-  | None -> List.find_opt matches (Minidisk.Registry.draining t.registry)
+  Minidisk.Registry.live_in_slot t.registry (logical / t.config.mdisk_opages)
 
 let set_recovery_hook t ?config hook =
   Ftl.Engine.set_recovery_hook t.engine ?config
@@ -666,30 +671,47 @@ module As_device = struct
   let label t =
     match t.config.mode with Shrink_s -> "shrinks" | Regen_s -> "regens"
 
-  let active_array t = Array.of_list (Minidisk.Registry.active t.registry)
-
-  let locate t ~lba =
-    if lba < 0 then None
-    else
-      let mdisks = active_array t in
+  (* The translation cache (see [stream_gen] on [t]): flat LBA [lba]
+     lives in the [lba / per]-th active minidisk, in increasing id
+     order, at offset [lba mod per]. *)
+  let refresh_tables t =
+    let gen = Minidisk.Registry.generation t.registry in
+    if t.stream_gen <> gen then begin
+      let mdisks = Array.of_list (Minidisk.Registry.active t.registry) in
       let per = t.config.mdisk_opages in
-      let index = lba / per in
-      if index >= Array.length mdisks then None
-      else Some (mdisks.(index).Minidisk.id, lba mod per)
+      t.stream_mdisks <- mdisks;
+      t.stream_base <- Array.map (fun m -> m.Minidisk.slot * per) mdisks;
+      t.stream_gen <- gen
+    end
 
+  (* Index into [t.stream_mdisks] of the active minidisk holding flat
+     [lba], or [-1].  Refreshes the cache first. *)
+  let locate t ~lba =
+    refresh_tables t;
+    if lba < 0 then -1
+    else
+      let index = lba / t.config.mdisk_opages in
+      if index >= Array.length t.stream_mdisks then -1 else index
+
+  (* A dead device answers [`Dead] whether or not [lba] still falls in
+     its (frozen) active set. *)
   let write t ~lba ~payload =
-    match locate t ~lba with
-    | None -> if t.dead then Error `Dead else Error `Out_of_range
-    | Some (mdisk, lba) -> (
-        match write t ~mdisk ~lba ~payload with
+    if t.dead then Error `Dead
+    else
+      let index = locate t ~lba in
+      if index < 0 then Error `Out_of_range
+      else
+        match
+          write_to t t.stream_mdisks.(index)
+            ~lba:(lba mod t.config.mdisk_opages) ~payload
+        with
         | Ok () -> Ok ()
         | Error (`Dead | `No_space) as e ->
             (e :> (unit, Ftl.Device_intf.write_error) result)
-        | Error `Unknown_mdisk -> Error `Out_of_range)
+        | Error `Unknown_mdisk -> Error `Out_of_range
 
   (* Bulk segments between maintenance points.  The LBA -> engine-logical
-     translation (the active-minidisk array [locate] rebuilds per write)
-     only moves when maintenance decommissions or regenerates — and
+     translation only moves when maintenance decommissions or regenerates — and
      maintenance only runs after erases — so one lookup table serves a
      whole no-erase segment.  The table is cached on the device keyed by
      the registry's generation counter: most segments end on a monitor
@@ -700,16 +722,6 @@ module As_device = struct
      replays the exact per-op recovery ([recover_no_space], including
      its host-write re-count on retry) before resuming.  Budget before
      death, matching the per-op loop's stop-then-alive order. *)
-  let refresh_stream_tables t =
-    let gen = Minidisk.Registry.generation t.registry in
-    if t.stream_gen <> gen then begin
-      let mdisks = active_array t in
-      let per = t.config.mdisk_opages in
-      t.stream_mdisks <- mdisks;
-      t.stream_base <- Array.map (fun m -> m.Minidisk.slot * per) mdisks;
-      t.stream_gen <- gen
-    end
-
   let write_stream t ~rng ~window ~payload_base ~budget =
     if not (Ftl.Engine.stream_capable t.engine) then
       {
@@ -724,7 +736,7 @@ module As_device = struct
         else if t.dead then
           { Ftl.Device_intf.accepted; status = Ftl.Device_intf.Stream_dead }
         else begin
-          refresh_stream_tables t;
+          refresh_tables t;
           let mdisks = t.stream_mdisks in
           let base = t.stream_base in
           let limit = Array.length mdisks * per in
@@ -772,19 +784,25 @@ module As_device = struct
       go 0
 
   let read t ~lba =
-    match locate t ~lba with
-    | None -> if t.dead then Error `Dead else Error `Out_of_range
-    | Some (mdisk, lba) -> (
-        match read t ~mdisk ~lba with
+    if t.dead then Error `Dead
+    else
+      let index = locate t ~lba in
+      if index < 0 then Error `Out_of_range
+      else
+        match
+          read_from t t.stream_mdisks.(index)
+            ~lba:(lba mod t.config.mdisk_opages)
+        with
         | Ok payload -> Ok payload
         | Error (`Dead | `Unmapped | `Uncorrectable) as e ->
             (e :> (int, Ftl.Device_intf.read_error) result)
-        | Error `Unknown_mdisk -> Error `Out_of_range)
+        | Error `Unknown_mdisk -> Error `Out_of_range
 
   let trim t ~lba =
-    match locate t ~lba with
-    | None -> ()
-    | Some (mdisk, lba) -> trim t ~mdisk ~lba
+    if not t.dead then
+      let index = locate t ~lba in
+      if index >= 0 then
+        trim_in t t.stream_mdisks.(index) ~lba:(lba mod t.config.mdisk_opages)
 
   let alive = alive
   let logical_capacity t = if t.dead then 0 else active_opages t
@@ -813,23 +831,34 @@ module As_device = struct
           .Tiredness.tolerable_rber;
     }
 
+  (* Position of active minidisk [id] in the id-sorted cache. *)
+  let index_of_id t id =
+    let mdisks = t.stream_mdisks in
+    let rec search lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let mid_id = mdisks.(mid).Minidisk.id in
+        if mid_id = id then mid
+        else if mid_id < id then search (mid + 1) hi
+        else search lo mid
+    in
+    search 0 (Array.length mdisks)
+
   let set_recovery_hook t ?config hook =
-    (* reverse of [locate]: engine logical -> slot -> position in the
-       active array -> flat LBA (draining minidisks are not addressable
-       through the flat adapter, so their escalations find no owner) *)
+    (* reverse of [locate]: engine logical -> slot -> owning minidisk ->
+       its position in the active array -> flat LBA (draining minidisks
+       are not addressable through the flat adapter, so their
+       escalations find no owner) *)
     Ftl.Engine.set_recovery_hook t.engine ?config
       (Option.map
          (fun f ~logical ->
            let per = t.config.mdisk_opages in
-           let slot = logical / per in
-           let mdisks = active_array t in
-           let rec scan i =
-             if i >= Array.length mdisks then None
-             else if mdisks.(i).Minidisk.slot = slot then
-               f ~lba:((i * per) + (logical mod per))
-             else scan (i + 1)
-           in
-           scan 0)
+           match mdisk_of_logical t ~logical with
+           | Some m when m.Minidisk.state = Minidisk.Active ->
+               refresh_tables t;
+               f ~lba:((index_of_id t m.Minidisk.id * per) + (logical mod per))
+           | Some _ | None -> None)
          hook)
 end
 

@@ -15,6 +15,9 @@ module Registry = struct
     opages_per_mdisk : int;
     slots : int;
     by_id : (int, mdisk) Hashtbl.t;
+    by_slot : mdisk option array;
+        (* the live (active or draining) minidisk in each slot; a slot is
+           freed only on decommission, so at most one live owner *)
     mutable free_slots : int list;
     mutable next_id : int;
     mutable active : int;
@@ -34,6 +37,7 @@ module Registry = struct
       opages_per_mdisk;
       slots;
       by_id = Hashtbl.create 64;
+      by_slot = Array.make slots None;
       free_slots = List.init slots Fun.id;
       next_id = 0;
       active = 0;
@@ -63,7 +67,9 @@ module Registry = struct
         t.created <- t.created + 1;
         t.generation <- t.generation + 1;
         Hashtbl.add t.by_id mdisk.id mdisk;
-        Some mdisk
+        let live = Some mdisk in
+        t.by_slot.(slot) <- live;
+        live
 
   let decommission t id =
     match Hashtbl.find_opt t.by_id id with
@@ -76,6 +82,7 @@ module Registry = struct
         | Active -> t.active <- t.active - 1
         | Draining -> ());
         mdisk.state <- Decommissioned;
+        t.by_slot.(mdisk.slot) <- None;
         t.free_slots <- mdisk.slot :: t.free_slots;
         t.decommissioned <- t.decommissioned + 1;
         t.generation <- t.generation + 1;
@@ -99,6 +106,9 @@ module Registry = struct
     |> List.sort (fun a b -> compare a.id b.id)
 
   let find t id = Hashtbl.find_opt t.by_id id
+
+  let live_in_slot t slot =
+    if slot < 0 || slot >= t.slots then None else t.by_slot.(slot)
 
   let active t =
     Hashtbl.fold

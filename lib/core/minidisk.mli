@@ -53,6 +53,13 @@ module Registry : sig
   val draining : t -> mdisk list
 
   val find : t -> int -> mdisk option
+
+  val live_in_slot : t -> int -> mdisk option
+  (** The [Active] or [Draining] minidisk occupying a slot, if any
+      ([None] for a free or out-of-range slot).  O(1) and
+      allocation-free: the reverse map live repair uses to find the
+      owner of an engine logical. *)
+
   val active : t -> mdisk list
   (** Live minidisks, in increasing id order. *)
 

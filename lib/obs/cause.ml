@@ -18,7 +18,7 @@ let name_of_bit i =
 let union = ( lor )
 let mem set cause = set land cause <> 0
 
-let to_string set =
+let render set =
   if set = none then "none"
   else begin
     let parts = ref [] in
@@ -27,6 +27,14 @@ let to_string set =
     done;
     String.concat "+" !parts
   end
+
+(* Every set of the [width] known causes, rendered once: the replayer
+   names the cause set of each tagged op. *)
+let rendered = Array.init (1 lsl width) render
+
+let to_string set =
+  if set >= 0 && set < Array.length rendered then rendered.(set)
+  else render set
 
 let of_flags ~gc:g ~relocation:rel ~retry:rt ~escalation:esc ~scrub:sc
     ~qos_throttle:qt =

@@ -1,33 +1,85 @@
 type event = { tenant : int; access : Access.t }
 
-type t = { mutable events : event list; mutable count : int }
-(* stored in reverse order; reversed on iteration *)
+(* Column storage: event [i] is [tenants.(i)], [kinds.(i)], [lbas.(i)]
+   for [i < count]; the arrays grow by doubling.  Replay walks the
+   columns by index, so a pass over the trace allocates nothing. *)
+type t = {
+  mutable tenants : int array;
+  mutable kinds : Access.kind array;
+  mutable lbas : int array;
+  mutable count : int;
+}
 
-let create () = { events = []; count = 0 }
+let create () = { tenants = [||]; kinds = [||]; lbas = [||]; count = 0 }
 
-let record_event t event =
-  t.events <- event :: t.events;
+let grow t =
+  let capacity = Stdlib.max 16 (2 * t.count) in
+  let extend column fill =
+    let fresh = Array.make capacity fill in
+    Array.blit column 0 fresh 0 t.count;
+    fresh
+  in
+  t.tenants <- extend t.tenants 0;
+  t.kinds <- extend t.kinds Access.Read;
+  t.lbas <- extend t.lbas 0
+
+let record_event t { tenant; access = { Access.kind; lba } } =
+  if t.count = Array.length t.lbas then grow t;
+  t.tenants.(t.count) <- tenant;
+  t.kinds.(t.count) <- kind;
+  t.lbas.(t.count) <- lba;
   t.count <- t.count + 1
 
 let record t access = record_event t { tenant = 0; access }
 
 let length t = t.count
 
+let check t i name =
+  if i < 0 || i >= t.count then invalid_arg ("Trace." ^ name ^ ": index")
+
+let tenant t i =
+  check t i "tenant";
+  Array.unsafe_get t.tenants i
+
+let kind t i =
+  check t i "kind";
+  Array.unsafe_get t.kinds i
+
+let lba t i =
+  check t i "lba";
+  Array.unsafe_get t.lbas i
+
 let capture t pattern rng ~n =
   for _ = 1 to n do
     record t (Pattern.next pattern rng)
   done
 
-let to_events t = List.rev t.events
-let to_list t = List.map (fun e -> e.access) (to_events t)
-let iter t f = List.iter f (to_list t)
-let iter_events t f = List.iter f (to_events t)
+let access_at t i = { Access.kind = t.kinds.(i); lba = t.lbas.(i) }
+
+let iter t f =
+  for i = 0 to t.count - 1 do
+    f (access_at t i)
+  done
+
+let iter_events t f =
+  for i = 0 to t.count - 1 do
+    f { tenant = t.tenants.(i); access = access_at t i }
+  done
+
+let to_list t = List.init t.count (access_at t)
+
+let to_events t =
+  List.init t.count (fun i -> { tenant = t.tenants.(i); access = access_at t i })
 
 let of_events events =
-  { events = List.rev events; count = List.length events }
+  let t = create () in
+  List.iter (record_event t) events;
+  t
 
 let of_list accesses =
-  of_events (List.map (fun access -> { tenant = 0; access }) accesses)
+  let t = create () in
+  List.iter (record t) accesses;
+  t
 
 (* --- on-disk format ------------------------------------------------------- *)
 

@@ -17,6 +17,16 @@ val record_event : t -> event -> unit
 
 val length : t -> int
 
+(** {2 Indexed access}
+
+    Event [i] of [0 .. length - 1], in recorded order, without building
+    an {!event}: the replayer's allocation-free walk.
+    @raise Invalid_argument outside [0 .. length - 1]. *)
+
+val tenant : t -> int -> int
+val kind : t -> int -> Access.kind
+val lba : t -> int -> int
+
 val capture : t -> Pattern.t -> Sim.Rng.t -> n:int -> unit
 (** Draw [n] accesses from a pattern and append them (tenant 0). *)
 

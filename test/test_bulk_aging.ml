@@ -318,13 +318,15 @@ let test_epoch_days_invalid () =
 
 (* --- allocation regression ----------------------------------------------- *)
 
-(* Steady-state hot paths must stay lean: the bulk write stream and the
-   engine read path are the two per-op costs multi-year fleet runs pay
-   billions of times.  Observed today: ~294 minor words/write on the
-   bulk path (mostly xoshiro Int64 boxing per draw plus amortized GC
-   relocation work) and ~43/read.  Bounds sit at ≈2x observed so they
-   only trip on a real regression — a per-op list, array or closure —
-   not on noise. *)
+(* Steady-state hot paths must stay lean: the bulk write stream, the
+   flat per-op read/write path and the traffic replay loop are the
+   per-op costs multi-year fleet runs and traffic studies pay billions
+   of times.  Observed today: ~138 minor words/write on the bulk path;
+   flat reads ~29 (baseline, CVSS) and ~31 (ShrinkS, RegenS); flat
+   writes ~22 (baseline), ~102 (CVSS), ~113 (ShrinkS), ~111 (RegenS);
+   ~65-67 per replayed op.  Bounds sit at ≈2x observed so they only
+   trip on a real regression — a per-op list, array or closure — not on
+   noise. *)
 
 let minor_words_per_op ~ops f =
   let before = Gc.minor_words () in
@@ -344,26 +346,86 @@ let test_bulk_write_allocation () =
         ignore
           (Workload.Aging.run_epoch ~rng ~pattern ~device:t.dev ~quota:ops ()))
   in
-  if per_op > 600. then
-    Alcotest.failf "bulk write path allocates %.1f minor words/write (> 600)"
+  if per_op > 280. then
+    Alcotest.failf "bulk write path allocates %.1f minor words/write (> 280)"
       per_op
 
-let test_read_allocation () =
-  let t = make_twin `Baseline ~seed:2025 in
+(* Flat per-op I/O through [Device_intf] on an aged device of [kind]:
+   the traffic replayer's read and write path. *)
+let flat_io_words_per_op kind =
+  let t = make_twin kind ~seed:2025 in
   let rng = Sim.Rng.create 12 in
   let pattern = make_pattern t.dev in
   ignore
     (Workload.Aging.run_epoch ~rng ~pattern ~device:t.dev ~quota:20_000 ());
-  let span = Ftl.Device_intf.initial_capacity t.dev in
+  let span = Ftl.Device_intf.logical_capacity t.dev in
   let ops = 4 * span in
-  let per_op =
+  let read =
     minor_words_per_op ~ops (fun () ->
         for i = 0 to ops - 1 do
           ignore (Ftl.Device_intf.read t.dev ~lba:(i mod span))
         done)
   in
-  if per_op > 90. then
-    Alcotest.failf "read path allocates %.1f minor words/read (> 90)" per_op
+  let write =
+    minor_words_per_op ~ops (fun () ->
+        for i = 0 to ops - 1 do
+          ignore
+            (Ftl.Device_intf.write t.dev ~lba:(i * 7 mod span) ~payload:i)
+        done)
+  in
+  (read, write)
+
+(* Per-kind bounds (read, write), ≈2x the observed cost above. *)
+let flat_io_bounds = function
+  | `Baseline -> (60., 45.)
+  | `Cvss -> (60., 205.)
+  | `Shrinks | `Regens -> (60., 230.)
+
+let test_read_allocation () =
+  List.iter
+    (fun kind ->
+      let read, write = flat_io_words_per_op kind in
+      let read_bound, write_bound = flat_io_bounds kind in
+      if read > read_bound then
+        Alcotest.failf "%s: flat read allocates %.1f minor words/read (> %.0f)"
+          (kind_label kind) read read_bound;
+      if write > write_bound then
+        Alcotest.failf
+          "%s: flat write allocates %.1f minor words/write (> %.0f)"
+          (kind_label kind) write write_bound)
+    [ `Baseline; `Cvss; `Shrinks; `Regens ]
+
+(* The whole replay loop — QoS, bg_stats snapshots, latency histograms,
+   cause attribution — on a small mixed trace against a prefilled
+   device of each kind. *)
+let test_replay_allocation () =
+  let ops = 20_000 in
+  let spec =
+    {
+      Traffic.Gen.default_spec with
+      Traffic.Gen.tenants = 16;
+      ops;
+      window = 1024;
+    }
+  in
+  let trace = Traffic.Gen.generate spec ~seed:5 in
+  List.iter
+    (fun kind ->
+      let t = make_twin kind ~seed:2026 in
+      ignore
+        (Ftl.Device_intf.write_many t.dev (Array.init 1024 (fun i -> (i, i))));
+      let population = Traffic.Tenant.create ~tenants:16 () in
+      let per_op =
+        minor_words_per_op ~ops (fun () ->
+            ignore
+              (Traffic.Replay.run ~qos:Traffic.Qos.default_config
+                 ~intensity:(fun ~op -> Traffic.Gen.intensity spec ~op)
+                 ~population ~trace ~device:t.dev ()))
+      in
+      if per_op > 135. then
+        Alcotest.failf "%s: replay allocates %.1f minor words/op (> 135)"
+          (kind_label kind) per_op)
+    [ `Baseline; `Cvss; `Shrinks; `Regens ]
 
 let suite =
   [
@@ -383,4 +445,5 @@ let suite =
     ("epoch_days validation", `Quick, test_epoch_days_invalid);
     ("allocation: bulk write path", `Slow, test_bulk_write_allocation);
     ("allocation: read path", `Slow, test_read_allocation);
+    ("allocation: replay", `Slow, test_replay_allocation);
   ]

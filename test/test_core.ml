@@ -190,6 +190,29 @@ let test_registry_double_decommission () =
       ignore
         (Salamander.Minidisk.Registry.decommission r m.Salamander.Minidisk.id))
 
+let test_registry_live_in_slot () =
+  let module R = Salamander.Minidisk.Registry in
+  let r = R.create ~opages_per_mdisk:32 ~slots:3 in
+  let m0 = Option.get (R.create_mdisk r ~birth_level:0) in
+  let m1 = Option.get (R.create_mdisk r ~birth_level:0) in
+  let owner slot = Option.map (fun m -> m.Salamander.Minidisk.id) (R.live_in_slot r slot) in
+  let check_owner msg slot expected =
+    Alcotest.(check (option int)) msg expected (owner slot)
+  in
+  check_owner "active owner" m0.Salamander.Minidisk.slot
+    (Some m0.Salamander.Minidisk.id);
+  check_owner "free slot" 2 None;
+  check_owner "out of range" 3 None;
+  check_owner "negative" (-1) None;
+  ignore (R.begin_drain r m1.Salamander.Minidisk.id);
+  check_owner "draining still owns its slot" m1.Salamander.Minidisk.slot
+    (Some m1.Salamander.Minidisk.id);
+  ignore (R.decommission r m1.Salamander.Minidisk.id);
+  check_owner "decommission frees the slot" m1.Salamander.Minidisk.slot None;
+  let m2 = Option.get (R.create_mdisk r ~birth_level:1) in
+  check_owner "regenerated minidisk takes over" m2.Salamander.Minidisk.slot
+    (Some m2.Salamander.Minidisk.id)
+
 (* --- Device: basic I/O ------------------------------------------------------ *)
 
 let make_device ?(config = test_config) ?(seed = 42) ?(model = fast_model) () =
@@ -499,6 +522,242 @@ let prop_device_invariants =
       in
       census_ok && engine_ok && capacity_ok)
 
+(* --- Device: flat-LBA translation cache vs rebuild oracle ------------------- *)
+
+(* The flat adapter translates through a generation-keyed cache.  The
+   oracle is the original translation, which rebuilt the active-minidisk
+   array on every call: flat LBA [lba] is offset [lba mod per] of the
+   [lba / per]-th active minidisk in increasing id order. *)
+module Flat_oracle = struct
+  let active_array d =
+    Array.of_list
+      (Salamander.Minidisk.Registry.active (Salamander.Device.registry d))
+
+  let per d = (Salamander.Device.config d).Salamander.Device.mdisk_opages
+
+  let locate d ~lba =
+    if lba < 0 then None
+    else
+      let mdisks = active_array d in
+      let index = lba / per d in
+      if index >= Array.length mdisks then None
+      else Some (mdisks.(index).Salamander.Minidisk.id, lba mod per d)
+
+  let write d ~lba ~payload =
+    match locate d ~lba with
+    | None ->
+        if Salamander.Device.alive d then Error `Out_of_range else Error `Dead
+    | Some (mdisk, lba) -> (
+        match Salamander.Device.write d ~mdisk ~lba ~payload with
+        | Ok () -> Ok ()
+        | Error (`Dead | `No_space) as e ->
+            (e :> (unit, Ftl.Device_intf.write_error) result)
+        | Error `Unknown_mdisk -> Error `Out_of_range)
+
+  let read d ~lba =
+    match locate d ~lba with
+    | None ->
+        if Salamander.Device.alive d then Error `Out_of_range else Error `Dead
+    | Some (mdisk, lba) -> (
+        match Salamander.Device.read d ~mdisk ~lba with
+        | Ok payload -> Ok payload
+        | Error (`Dead | `Unmapped | `Uncorrectable) as e ->
+            (e :> (int, Ftl.Device_intf.read_error) result)
+        | Error `Unknown_mdisk -> Error `Out_of_range)
+
+  let trim d ~lba =
+    match locate d ~lba with
+    | None -> ()
+    | Some (mdisk, lba) -> Salamander.Device.trim d ~mdisk ~lba
+
+  (* engine logical -> slot -> position in the rebuilt active array *)
+  let set_recovery_hook d f =
+    Ftl.Engine.set_recovery_hook (Salamander.Device.engine d)
+      (Some
+         (fun ~logical ->
+           let per = per d in
+           let mdisks = active_array d in
+           let rec scan i =
+             if i >= Array.length mdisks then None
+             else if mdisks.(i).Salamander.Minidisk.slot = logical / per then
+               f ~lba:((i * per) + (logical mod per))
+             else scan (i + 1)
+           in
+           scan 0))
+
+  (* slot -> live minidisk, by folding the active and draining lists *)
+  let live_in_slot d slot =
+    let registry = Salamander.Device.registry d in
+    let matches m = m.Salamander.Minidisk.slot = slot in
+    match
+      List.find_opt matches (Salamander.Minidisk.Registry.active registry)
+    with
+    | Some _ as found -> found
+    | None ->
+        List.find_opt matches (Salamander.Minidisk.Registry.draining registry)
+end
+
+type flat_op =
+  | Flat_write of int
+  | Flat_read of int
+  | Flat_trim of int
+  | Force of int * int
+  | Sticky of int * int
+  | Ack
+
+let pp_flat_op = function
+  | Flat_write lba -> Printf.sprintf "w%d" lba
+  | Flat_read lba -> Printf.sprintf "r%d" lba
+  | Flat_trim lba -> Printf.sprintf "t%d" lba
+  | Force (block, page) -> Printf.sprintf "f%d.%d" block page
+  | Sticky (block, page) -> Printf.sprintf "s%d.%d" block page
+  | Ack -> "ack"
+
+let flat_op_gen =
+  let lba = QCheck.Gen.int_range (-2) (16 * 32) in
+  let page =
+    QCheck.Gen.(
+      pair
+        (int_bound (geometry.Flash.Geometry.blocks - 1))
+        (int_bound (geometry.Flash.Geometry.pages_per_block - 1)))
+  in
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun l -> Flat_write l) lba);
+        (6, map (fun l -> Flat_read l) lba);
+        (2, map (fun l -> Flat_trim l) lba);
+        (3, map (fun (b, p) -> Force (b, p)) page);
+        (2, map (fun (b, p) -> Sticky (b, p)) page);
+        (1, return Ack);
+      ])
+
+(* Twin devices, one driven through [As_device] (the cache), one through
+   the oracle's translation onto the mdisk-native API, while forced
+   page retirements drive decommission and regeneration and sticky
+   faults drive escalations.  Every flat op must return the same result,
+   every escalation must name the same flat LBA, the slot-indexed live
+   table must agree with the list fold, and the engines must end in the
+   same state. *)
+let prop_flat_translation_matches_oracle =
+  QCheck.Test.make ~count:40 ~name:"flat translation cache = rebuild oracle"
+    QCheck.(
+      pair
+        (make Gen.(pair (int_bound 1000) (pair bool bool)))
+        (make
+           ~print:(fun ops -> String.concat " " (List.map pp_flat_op ops))
+           Gen.(list_size (int_range 50 400) flat_op_gen)))
+    (fun ((seed, (regen, grace)), ops) ->
+      let config =
+        {
+          test_config with
+          Salamander.Device.mode =
+            (if regen then Salamander.Device.Regen_s
+             else Salamander.Device.Shrink_s);
+          decommission_grace = grace;
+        }
+      in
+      let cached = make_device ~config ~seed () in
+      let oracle = make_device ~config ~seed () in
+      let escalations_c = ref [] and escalations_o = ref [] in
+      Salamander.Device.As_device.set_recovery_hook cached
+        (Some
+           (fun ~lba ->
+             escalations_c := lba :: !escalations_c;
+             None));
+      Flat_oracle.set_recovery_hook oracle (fun ~lba ->
+          escalations_o := lba :: !escalations_o;
+          None);
+      let slots =
+        Ftl.Engine.logical_capacity (Salamander.Device.engine cached)
+        / test_config.Salamander.Device.mdisk_opages
+      in
+      let slots_agree () =
+        List.for_all
+          (fun slot ->
+            let id m = Option.map (fun m -> m.Salamander.Minidisk.id) m in
+            id
+              (Salamander.Minidisk.Registry.live_in_slot
+                 (Salamander.Device.registry cached)
+                 slot)
+            = id (Flat_oracle.live_in_slot oracle slot))
+          (List.init (slots + 1) Fun.id)
+      in
+      let step i op =
+        match op with
+        | Flat_write lba ->
+            Salamander.Device.As_device.write cached ~lba ~payload:i
+            = Flat_oracle.write oracle ~lba ~payload:i
+        | Flat_read lba ->
+            Salamander.Device.As_device.read cached ~lba
+            = Flat_oracle.read oracle ~lba
+        | Flat_trim lba ->
+            Salamander.Device.As_device.trim cached ~lba;
+            Flat_oracle.trim oracle ~lba;
+            true
+        | Force (block, page) ->
+            let level = Salamander.Device.level_of_page cached ~block ~page + 1 in
+            if
+              Salamander.Device.alive cached
+              && level
+                 <= Salamander.Tiredness.dead_level
+                      (Salamander.Device.profile cached)
+            then begin
+              Salamander.Device.force_page_level cached ~block ~page ~level;
+              Salamander.Device.force_page_level oracle ~block ~page ~level
+            end;
+            true
+        | Sticky (block, page) ->
+            (* a latent fault that exhausts the retry ladder, so reads of
+               the page escalate to the recovery hook *)
+            List.iter
+              (fun d ->
+                Flash.Chip.inject
+                  (Ftl.Engine.chip (Salamander.Device.engine d))
+                  ~block ~page (Flash.Chip.Sticky_rber 1.0))
+              [ cached; oracle ];
+            true
+        | Ack ->
+            (match
+               Salamander.Minidisk.Registry.draining
+                 (Salamander.Device.registry cached)
+             with
+            | m :: _ ->
+                let mdisk = m.Salamander.Minidisk.id in
+                Salamander.Device.acknowledge_decommission cached ~mdisk;
+                Salamander.Device.acknowledge_decommission oracle ~mdisk
+            | [] -> ());
+            true
+      in
+      let ops_agree =
+        List.for_all Fun.id
+          (List.mapi (fun i op -> step i op && slots_agree ()) ops)
+      in
+      let ec = Salamander.Device.engine cached
+      and eo = Salamander.Device.engine oracle in
+      let readback_agrees =
+        List.for_all
+          (fun logical ->
+            Ftl.Engine.read ec ~logical = Ftl.Engine.read eo ~logical)
+          (List.init (Ftl.Engine.logical_capacity ec) Fun.id)
+      in
+      ops_agree
+      && !escalations_c = !escalations_o
+      && Ftl.Engine.host_writes ec = Ftl.Engine.host_writes eo
+      && Ftl.Engine.mapped_opages ec = Ftl.Engine.mapped_opages eo
+      && Salamander.Device.decommissions cached
+         = Salamander.Device.decommissions oracle
+      && Salamander.Device.regenerations cached
+         = Salamander.Device.regenerations oracle
+      && Salamander.Device.alive cached = Salamander.Device.alive oracle
+      && List.map
+           (fun m -> m.Salamander.Minidisk.id)
+           (Salamander.Device.active_mdisks cached)
+         = List.map
+             (fun m -> m.Salamander.Minidisk.id)
+             (Salamander.Device.active_mdisks oracle)
+      && readback_agrees)
+
 (* --- Device: decommissioning grace period (§4.3) ---------------------------- *)
 
 let grace_config =
@@ -648,6 +907,7 @@ let suite =
     ("registry lifecycle", `Quick, test_registry_lifecycle);
     ("registry slot exhaustion", `Quick, test_registry_slot_exhaustion);
     ("registry double decommission", `Quick, test_registry_double_decommission);
+    ("registry live_in_slot", `Quick, test_registry_live_in_slot);
     ("device initial layout", `Quick, test_device_initial_layout);
     ("device write/read roundtrip", `Quick, test_device_write_read_roundtrip);
     ("device mdisk isolation", `Quick, test_device_mdisk_isolation);
@@ -672,4 +932,5 @@ let suite =
     ("events queue drain empties", `Quick, test_events_queue_drain_empties);
     ("events queue interleaved", `Quick, test_events_queue_interleaved);
     QCheck_alcotest.to_alcotest prop_device_invariants;
+    QCheck_alcotest.to_alcotest prop_flat_translation_matches_oracle;
   ]

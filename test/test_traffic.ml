@@ -385,6 +385,34 @@ let test_traffic_run_jobs_deterministic_and_chaos_degrades () =
   checkb "baseline tail measurably degraded under faults" true
     (p999 "baseline" true > 1.2 *. p999 "baseline" false)
 
+(* Exact bytes of a small media-plan run.  The --jobs 1 vs --jobs 4
+   diffs cannot see a change to what the replayer computes; these
+   goldens (report and latency JSON) can. *)
+let read_golden name =
+  In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all
+
+let test_traffic_run_golden () =
+  let plan =
+    match Faults.Plan.parse "media" with
+    | Ok plan -> plan
+    | Error msg -> Alcotest.fail msg
+  in
+  let ctx = Experiments.Ctx.make ~registry:(Telemetry.Registry.create ()) () in
+  let buf = Buffer.create 8192 in
+  let fmt = Format.formatter_of_buffer buf in
+  let rows =
+    Experiments.Traffic_run.run ~ctx ~tenants:16 ~ops:4_000 ~plan fmt
+  in
+  Format.pp_print_flush fmt ();
+  Alcotest.(check string)
+    "report bytes"
+    (read_golden "traffic_media_16t_4000ops.txt")
+    (Buffer.contents buf);
+  Alcotest.(check string)
+    "latency json bytes"
+    (read_golden "traffic_media_16t_4000ops.json")
+    (Experiments.Traffic_run.rows_to_json rows ^ "\n")
+
 let suite =
   [
     ("lathist exact stats", `Quick, test_lathist_exact_stats);
@@ -405,4 +433,6 @@ let suite =
     ( "traffic experiment deterministic across jobs; chaos degrades tails",
       `Slow,
       test_traffic_run_jobs_deterministic_and_chaos_degrades );
+    ("traffic experiment golden (media, 16 tenants)", `Quick,
+      test_traffic_run_golden);
   ]

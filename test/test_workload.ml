@@ -156,6 +156,82 @@ let prop_trace_string_roundtrip =
       | Error _ -> false
       | Ok parsed -> Workload.Trace.to_events parsed = events)
 
+let prop_trace_views_agree =
+  (* The column store's views must all describe the same event list:
+     indexed accessors, [iter_events], [iter], [to_events], [to_list] and
+     a v1 text round trip, for tenant ids and LBAs at the integer
+     extremes, on traces grown one event at a time past several column
+     resizes. *)
+  let exotic =
+    QCheck.Gen.(
+      frequency [ (3, int); (1, oneofl [ min_int; max_int; -1; 0; 1 ]) ])
+  in
+  QCheck.Test.make ~count:200 ~name:"trace views agree"
+    QCheck.(
+      make
+        Gen.(list_size (int_range 0 200) (triple exotic (int_range 0 2) exotic)))
+    (fun raw ->
+      let events =
+        List.map
+          (fun (tenant, op, lba) ->
+            let kind =
+              match op with
+              | 0 -> Workload.Access.Read
+              | 1 -> Workload.Access.Write
+              | _ -> Workload.Access.Trim
+            in
+            { Workload.Trace.tenant; access = { Workload.Access.kind; lba } })
+          raw
+      in
+      let grown = Workload.Trace.create () in
+      List.iter (Workload.Trace.record_event grown) events;
+      let trace = Workload.Trace.of_events events in
+      let n = Workload.Trace.length trace in
+      let indexed =
+        List.init n (fun i ->
+            {
+              Workload.Trace.tenant = Workload.Trace.tenant trace i;
+              access =
+                {
+                  Workload.Access.kind = Workload.Trace.kind trace i;
+                  lba = Workload.Trace.lba trace i;
+                };
+            })
+      in
+      let iterated = ref [] in
+      Workload.Trace.iter_events trace (fun e -> iterated := e :: !iterated);
+      let accesses = ref [] in
+      Workload.Trace.iter trace (fun a -> accesses := a :: !accesses);
+      let out_of_range i =
+        match Workload.Trace.lba trace i with
+        | exception Invalid_argument _ -> true
+        | _ -> false
+      in
+      n = List.length events
+      && indexed = events
+      && List.rev !iterated = events
+      && Workload.Trace.to_events trace = events
+      && Workload.Trace.to_events grown = events
+      && List.rev !accesses = List.map (fun e -> e.Workload.Trace.access) events
+      && Workload.Trace.to_list trace
+         = List.map (fun e -> e.Workload.Trace.access) events
+      && out_of_range n && out_of_range (-1)
+      &&
+      match Workload.Trace.of_string (Workload.Trace.to_string grown) with
+      | Error _ -> false
+      | Ok parsed ->
+          Workload.Trace.to_events parsed = events
+          && List.init (Workload.Trace.length parsed) (fun i ->
+                 ( Workload.Trace.tenant parsed i,
+                   Workload.Trace.kind parsed i,
+                   Workload.Trace.lba parsed i ))
+             = List.map
+                 (fun e ->
+                   ( e.Workload.Trace.tenant,
+                     e.Workload.Trace.access.Workload.Access.kind,
+                     e.Workload.Trace.access.Workload.Access.lba ))
+                 events)
+
 (* --- aging ------------------------------------------------------------------ *)
 
 let make_baseline seed model =
@@ -243,6 +319,7 @@ let suite =
     ("trace rejects garbage", `Quick, test_trace_rejects_garbage);
     ("trace file roundtrip", `Quick, test_trace_file_roundtrip);
     QCheck_alcotest.to_alcotest prop_trace_string_roundtrip;
+    QCheck_alcotest.to_alcotest prop_trace_views_agree;
     ("aging stops at cap", `Quick, test_aging_stops_at_cap);
     ("aging runs to death", `Slow, test_aging_runs_to_death);
     ("aging window tracks capacity", `Slow, test_aging_window_tracks_capacity);
