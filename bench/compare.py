@@ -38,7 +38,6 @@ DEFAULT_SUBJECTS = [
     "chaos/",      # fault-path reads, retry ladder, scrub
     "fig3ab/fleet_day",
     "parallel/fleet_years_bulk",
-    "traffic/engine_write_batch_64",
     "uber/chip_read_with_disturb",
 ]
 

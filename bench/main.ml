@@ -554,9 +554,8 @@ let traffic_subjects () =
     (Ftl.Device_intf.write_many replay_device
        (Array.init prefill (fun i -> (i, i))));
   let population = Traffic.Tenant.create ~tenants:64 () in
-  (* Twin engines on the same scale for the submission-path comparison:
-     64 distinct LBAs per round, once through Engine.write in a loop and
-     once through Engine.write_batch. *)
+  (* An engine on the same scale for the per-op submission cost: 64
+     distinct LBAs per round through Engine.write. *)
   let make_engine seed =
     let chip =
       Flash.Chip.create ~rng:(Sim.Rng.create seed) ~geometry ~model:gentle ()
@@ -580,7 +579,7 @@ let traffic_subjects () =
     ignore (Ftl.Engine.flush engine);
     engine
   in
-  let per_op_engine = make_engine 23 and batch_engine = make_engine 23 in
+  let per_op_engine = make_engine 23 in
   let entries = Array.init 64 (fun i -> (i, i)) in
   [
     Test.make ~name:"traffic/generate_2k"
@@ -597,9 +596,6 @@ let traffic_subjects () =
              (fun (logical, payload) ->
                ignore (Ftl.Engine.write per_op_engine ~logical ~payload))
              entries));
-    Test.make ~name:"traffic/engine_write_batch_64"
-      (Staged.stage (fun () ->
-           ignore (Ftl.Engine.write_batch batch_engine entries)));
   ]
 
 let obs_subjects () =

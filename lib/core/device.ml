@@ -720,68 +720,26 @@ module As_device = struct
      point the per-op path would (right after the triggering write),
      then re-derives the table if maintenance moved it.  A [`No_space]
      replays the exact per-op recovery ([recover_no_space], including
-     its host-write re-count on retry) before resuming.  Budget before
-     death, matching the per-op loop's stop-then-alive order. *)
+     its host-write re-count on retry) before resuming; the cached table
+     it reads is still the segment's, as nothing in a segment moves it. *)
   let write_stream t ~rng ~window ~payload_base ~budget =
-    if not (Ftl.Engine.stream_capable t.engine) then
-      {
-        Ftl.Device_intf.accepted = 0;
-        status = Ftl.Device_intf.Stream_unsupported;
-      }
-    else
-      let per = t.config.mdisk_opages in
-      let rec go accepted =
-        if accepted >= budget then
-          { Ftl.Device_intf.accepted; status = Ftl.Device_intf.Stream_filled }
-        else if t.dead then
-          { Ftl.Device_intf.accepted; status = Ftl.Device_intf.Stream_dead }
-        else begin
-          refresh_tables t;
-          let mdisks = t.stream_mdisks in
-          let base = t.stream_base in
-          let limit = Array.length mdisks * per in
-          let translate lba = base.(lba / per) + (lba mod per) in
-          let n, stop =
-            Ftl.Engine.write_stream t.engine ~rng ~window ~limit ~translate
-              ~payload_base:(payload_base + accepted)
-              ~budget:(budget - accepted)
-          in
-          let accepted = accepted + n in
-          match stop with
-          | Ftl.Engine.Stream_budget ->
-              {
-                Ftl.Device_intf.accepted;
-                status = Ftl.Device_intf.Stream_filled;
-              }
-          | Ftl.Engine.Stream_out_of_window ->
-              {
-                Ftl.Device_intf.accepted;
-                status = Ftl.Device_intf.Stream_resync;
-              }
-          | Ftl.Engine.Stream_erased ->
-              maintain t;
-              go accepted
-          | Ftl.Engine.Stream_no_space lba -> (
-              let mdisk = mdisks.(lba / per).Minidisk.id in
-              let logical = base.(lba / per) + (lba mod per) in
-              match
-                recover_no_space t ~mdisk ~logical
-                  ~payload:(payload_base + accepted)
-              with
-              | Ok () -> go (accepted + 1)
-              | Error `Unknown_mdisk ->
-                  {
-                    Ftl.Device_intf.accepted;
-                    status = Ftl.Device_intf.Stream_resync;
-                  }
-              | Error `No_space ->
-                  {
-                    Ftl.Device_intf.accepted;
-                    status = Ftl.Device_intf.Stream_dead;
-                  })
-        end
-      in
-      go 0
+    let per = t.config.mdisk_opages in
+    Ftl.Device_intf.Engine_backed.write_stream t.engine
+      ~dead:(fun () -> t.dead)
+      ~segment:(fun () ->
+        refresh_tables t;
+        let base = t.stream_base in
+        ( Array.length t.stream_mdisks * per,
+          fun lba -> base.(lba / per) + (lba mod per) ))
+      ~on_erased:(fun () -> maintain t)
+      ~on_no_space:(fun ~lba ~payload ->
+        let mdisk = t.stream_mdisks.(lba / per).Minidisk.id in
+        let logical = t.stream_base.(lba / per) + (lba mod per) in
+        match recover_no_space t ~mdisk ~logical ~payload with
+        | Ok () -> None
+        | Error `Unknown_mdisk -> Some Ftl.Device_intf.Stream_resync
+        | Error `No_space -> Some Ftl.Device_intf.Stream_dead)
+      ~rng ~window ~payload_base ~budget
 
   let read t ~lba =
     if t.dead then Error `Dead
@@ -810,26 +768,13 @@ module As_device = struct
   let host_writes = host_writes
   let write_amplification = write_amplification
 
-  let bg_stats t =
-    {
-      Ftl.Device_intf.gc_runs = Ftl.Engine.gc_runs t.engine;
-      relocated_opages = Ftl.Engine.relocated_opages t.engine;
-      read_retries = Ftl.Engine.read_retries t.engine;
-      read_reclaims = Ftl.Engine.read_reclaims t.engine;
-      live_repair_attempts = Ftl.Engine.read_escalations t.engine;
-      live_repairs = Ftl.Engine.escalation_successes t.engine;
-    }
+  let bg_stats t = Ftl.Device_intf.Engine_backed.bg_stats t.engine
 
   let wear_stats t =
-    let w = Flash.Chip.wear (Ftl.Engine.chip t.engine) in
-    {
-      Ftl.Device_intf.pec_max = w.Flash.Chip.wear_pec_max;
-      pec_min = w.Flash.Chip.wear_pec_min;
-      rber_worst = w.Flash.Chip.wear_rber_worst;
-      tolerable_rber =
+    Ftl.Device_intf.Engine_backed.wear_stats t.engine
+      ~tolerable_rber:
         (Tiredness.info t.profile (Tiredness.max_level t.profile))
-          .Tiredness.tolerable_rber;
-    }
+          .Tiredness.tolerable_rber
 
   (* Position of active minidisk [id] in the id-sorted cache. *)
   let index_of_id t id =

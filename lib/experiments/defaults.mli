@@ -47,4 +47,15 @@ val make_device_rng :
     the building block for deterministic parallel fleets, where each
     device's stream is split off a root RNG in submission order. *)
 
+val make_device_and_engine :
+  ?registry:Telemetry.Registry.t ->
+  ?model:Flash.Rber_model.t ->
+  [< `Baseline | `Cvss | `Shrinks | `Regens ] ->
+  rng:Sim.Rng.t ->
+  Ftl.Device_intf.packed * Ftl.Engine.t
+(** The one device factory: {!make_device_rng}'s device together with
+    the engine under it, which the packed wrapper hides — for callers
+    that inject chip faults or read engine counters.  [model] replaces
+    the shared wear {!model} (e.g. with read disturb switched on). *)
+
 val kind_label : [ `Baseline | `Cvss | `Shrinks | `Regens ] -> string

@@ -1,35 +1,11 @@
-(** The baseline datacenter SSD the paper argues against.
+(** The baseline datacenter SSD the paper argues against: a
+    {!Monolithic} drive with the [Brick] retirement policy.
 
     Monolithic fixed-capacity volume; firmware retires a whole erase block
     as soon as its weakest page can no longer be protected by the default
     ECC, replacing it from over-provisioned spare space; and the device
-    bricks (goes read-only) once retired blocks exceed a small threshold —
-    2.5 % by default, per the NetApp field study the paper cites [14]. *)
+    bricks (goes read-only) once retired blocks exceed
+    {!Monolithic.fail_threshold} (2.5 %, per the NetApp field study the
+    paper cites [14]). *)
 
-type t
-
-type config = {
-  over_provisioning : float;  (** spare fraction of physical space, 0.07 *)
-  fail_threshold : float;  (** bad-block fraction that bricks the drive *)
-}
-
-val default_config : config
-
-val create :
-  ?config:config ->
-  ?ecc:Ecc_profile.t ->
-  ?registry:Telemetry.Registry.t ->
-  geometry:Flash.Geometry.t ->
-  model:Flash.Rber_model.t ->
-  rng:Sim.Rng.t ->
-  unit ->
-  t
-(** Telemetry binds against [registry] (default: the deprecated process
-    default). *)
-
-val ecc : t -> Ecc_profile.t
-val engine : t -> Engine.t
-val bad_blocks : t -> int
-val bad_block_fraction : t -> float
-
-include Device_intf.S with type t := t
+include Monolithic.DRIVE

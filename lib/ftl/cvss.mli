@@ -1,13 +1,14 @@
 (** CVSS-style capacity-variant SSD (Jiao et al., FAST '24): the prior
-    work the paper positions ShrinkS against.
+    work the paper positions ShrinkS against.  A {!Monolithic} drive with
+    the [Shrink] retirement policy.
 
     Identical wear physics and block-retirement trigger as the baseline,
     but instead of bricking, the device shrinks: each retired block
     removes a block's worth of LBAs from the top of the address space,
     and the host file system must absorb the loss out of its free space.
     The drive therefore lives until utilization leaves no room to shrink
-    further ([min_capacity_fraction], default 50 % as in the paper's CVSS
-    discussion).
+    further ({!Monolithic.min_capacity_fraction}, 50 % as in the paper's
+    CVSS discussion).
 
     The two deltas Salamander claims over this design are visible here by
     construction: retirement is block- (not page-) granular, so strong
@@ -15,35 +16,4 @@
     *host* free space rather than being absorbed by a distributed system's
     redundancy. *)
 
-type t
-
-type config = {
-  over_provisioning : float;
-  min_capacity_fraction : float;
-      (** dead once capacity falls below this fraction of the initial *)
-}
-
-val default_config : config
-
-val create :
-  ?config:config ->
-  ?ecc:Ecc_profile.t ->
-  ?registry:Telemetry.Registry.t ->
-  geometry:Flash.Geometry.t ->
-  model:Flash.Rber_model.t ->
-  rng:Sim.Rng.t ->
-  unit ->
-  t
-(** Telemetry binds against [registry] (default: the deprecated process
-    default). *)
-
-val ecc : t -> Ecc_profile.t
-val engine : t -> Engine.t
-val retired_blocks : t -> int
-
-val shrunk_opages : t -> int
-(** LBAs lost to shrinking so far (each was trimmed away; a host using the
-    device re-replicates or rebalances that data, which is the recovery
-    traffic the paper's §4.3 compares against). *)
-
-include Device_intf.S with type t := t
+include Monolithic.DRIVE

@@ -94,6 +94,65 @@ module type S = sig
       reads whose retry ladder exhausted from replica redundancy. *)
 end
 
+(** Plumbing shared by the adapters over one {!Engine.t}: the monolithic
+    drives and Salamander's flat adapter. *)
+module Engine_backed = struct
+  let bg_stats engine =
+    {
+      gc_runs = Engine.gc_runs engine;
+      relocated_opages = Engine.relocated_opages engine;
+      read_retries = Engine.read_retries engine;
+      read_reclaims = Engine.read_reclaims engine;
+      live_repair_attempts = Engine.read_escalations engine;
+      live_repairs = Engine.escalation_successes engine;
+    }
+
+  let wear_stats engine ~tolerable_rber =
+    let w = Flash.Chip.wear (Engine.chip engine) in
+    {
+      pec_max = w.Flash.Chip.wear_pec_max;
+      pec_min = w.Flash.Chip.wear_pec_min;
+      rber_worst = w.Flash.Chip.wear_rber_worst;
+      tolerable_rber;
+    }
+
+  (** {!S.write_stream} as a loop of {!Engine.write_stream} segments, one
+     per erase: [segment] gives the live [(limit, translate)] at each
+     segment start, [on_erased] runs the per-op path's post-erase
+     maintenance, and [on_no_space ~lba ~payload] recovers a write the
+     engine could not place ([None]) or stops with a status.  Budget
+     before death, as in the per-op loop's stop-then-alive order, so a
+     device that dies on its quota's last write is seen next epoch. *)
+  let write_stream engine ~dead ~segment ~on_erased ~on_no_space ~rng ~window
+      ~payload_base ~budget =
+    if not (Engine.stream_capable engine) then
+      { accepted = 0; status = Stream_unsupported }
+    else
+      let rec go accepted =
+        if accepted >= budget then { accepted; status = Stream_filled }
+        else if dead () then { accepted; status = Stream_dead }
+        else
+          let limit, translate = segment () in
+          let n, stop =
+            Engine.write_stream engine ~rng ~window ~limit ~translate
+              ~payload_base:(payload_base + accepted)
+              ~budget:(budget - accepted)
+          in
+          let accepted = accepted + n in
+          match stop with
+          | Engine.Stream_budget -> { accepted; status = Stream_filled }
+          | Engine.Stream_out_of_window -> { accepted; status = Stream_resync }
+          | Engine.Stream_erased ->
+              on_erased ();
+              go accepted
+          | Engine.Stream_no_space lba -> (
+              match on_no_space ~lba ~payload:(payload_base + accepted) with
+              | None -> go (accepted + 1)
+              | Some status -> { accepted; status })
+      in
+      go 0
+end
+
 type packed = Packed : (module S with type t = 'a) * 'a -> packed
 (** Existential wrapper so fleets can mix device designs. *)
 
@@ -115,12 +174,12 @@ let wear_stats (Packed ((module D), d)) = D.wear_stats d
 let set_recovery_hook (Packed ((module D), d)) ?config hook =
   D.set_recovery_hook d ?config hook
 
-(* Submit a batch through the flat interface.  Devices whose capacity can
-   move mid-batch (CVSS shrinks, Salamander decommissions) make a true
-   batched entry point ambiguous — which entries were in range? — so the
-   packed path loops per-op and reports how far it got; the per-batch
-   amortization lives in [Engine.write_batch] below the device layer and
-   in the replayer's submission-cost model above it. *)
+(* Submit a batch through the flat interface, one {!write} per entry,
+   and report how far it got.  Devices whose capacity can move mid-batch
+   (CVSS shrinks, Salamander decommissions) make a true batched entry
+   point ambiguous — which entries were in range? — so there is none
+   below this loop; the replayer models per-batch submission cost
+   itself. *)
 let write_many p entries =
   let n = Array.length entries in
   let rec go i =

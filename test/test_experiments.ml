@@ -152,6 +152,38 @@ let test_fig4_runs_with_measured_factors () =
   Experiments.Tco_table.run null_fmt;
   Experiments.Terms.run null_fmt
 
+(* --- design goldens ------------------------------------------------------------ *)
+
+(* Exact bytes of every design's aging outcome.  The --jobs diffs and the
+   per-op vs bulk check compare the code with itself, so a change to what
+   baseline or CVSS compute passes both; these compare it with a fixed
+   record: per-op aging to death (lifetime), aging with reads and read
+   disturb (UBER), and a small bulk-path fleet (Fig. 3a/3b). *)
+let render run =
+  let buf = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buf in
+  run fmt;
+  Format.pp_print_flush fmt ();
+  Buffer.contents buf
+
+let check_golden name run =
+  Alcotest.(check string)
+    name
+    (In_channel.with_open_bin (Filename.concat "golden" name)
+       In_channel.input_all)
+    (render run)
+
+let test_lifetime_golden () =
+  check_golden "lifetime_table.txt" (fun fmt ->
+      ignore (Experiments.Lifetime_table.run fmt))
+
+let test_uber_golden () =
+  check_golden "uber_table.txt" (fun fmt -> Experiments.Uber_table.run fmt)
+
+let test_fig3ab_bulk_golden () =
+  check_golden "fig3ab_bulk_4dev.txt" (fun fmt ->
+      Experiments.Fig3ab.run ~devices:4 fmt)
+
 let suite =
   [
     ("report table alignment", `Quick, test_report_table_alignment);
@@ -166,4 +198,7 @@ let suite =
     ("lifetime ordering", `Slow, test_lifetime_ordering);
     ("uber reliability holds", `Slow, test_uber_reliability_holds);
     ("fig4/tco/terms run", `Quick, test_fig4_runs_with_measured_factors);
+    ("lifetime table golden", `Quick, test_lifetime_golden);
+    ("uber table golden", `Quick, test_uber_golden);
+    ("fig3ab bulk fleet golden (4 devices)", `Quick, test_fig3ab_bulk_golden);
   ]

@@ -284,61 +284,6 @@ let test_replay_rejects_bad_config () =
            ~config:{ Traffic.Replay.default_config with Traffic.Replay.batch = 0 }
            ~population ~trace ~device ()))
 
-(* --- batched submission --------------------------------------------------- *)
-
-let make_engine seed =
-  let chip =
-    Flash.Chip.create ~rng:(Sim.Rng.create seed) ~geometry ~model:gentle_model
-      ()
-  in
-  let policy =
-    Ftl.Policy.always_fresh
-      ~opages_per_fpage:geometry.Flash.Geometry.opages_per_fpage
-  in
-  let slots =
-    geometry.Flash.Geometry.blocks * geometry.Flash.Geometry.pages_per_block
-    * geometry.Flash.Geometry.opages_per_fpage
-  in
-  let logical = slots * 3 / 4 in
-  ( Ftl.Engine.create ~chip ~rng:(Sim.Rng.create (seed + 1)) ~policy
-      ~logical_capacity:logical (),
-    logical )
-
-let test_write_batch_matches_per_op () =
-  (* Same op stream through Engine.write in a loop and through
-     Engine.write_batch: identical logical state and host accounting. *)
-  let per_op, logical = make_engine 31 in
-  let batched, _ = make_engine 31 in
-  for round = 0 to 19 do
-    let entries =
-      Array.init 64 (fun i ->
-          (((round * 13) + (i * 7)) mod logical, (round * 100) + i))
-    in
-    Array.iter
-      (fun (logical, payload) ->
-        ignore (Ftl.Engine.write per_op ~logical ~payload))
-      entries;
-    checkb "batch accepted" true
-      (Ftl.Engine.write_batch batched entries = Ok ())
-  done;
-  ignore (Ftl.Engine.flush per_op);
-  ignore (Ftl.Engine.flush batched);
-  checki "host_writes agree" (Ftl.Engine.host_writes per_op)
-    (Ftl.Engine.host_writes batched);
-  for lba = 0 to logical - 1 do
-    checkb "logical state identical" true
-      (Ftl.Engine.read per_op ~logical:lba = Ftl.Engine.read batched ~logical:lba)
-  done
-
-let test_write_batch_validates_range () =
-  let engine, logical = make_engine 33 in
-  checkb "out-of-range batch rejected before any write" true
-    (match Ftl.Engine.write_batch engine [| (0, 1); (logical, 2) |] with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  checki "no entry of the rejected batch landed" 0
-    (Ftl.Engine.host_writes engine)
-
 (* --- experiment determinism and chaos tails ------------------------------- *)
 
 let traffic_report pool =
@@ -428,8 +373,6 @@ let suite =
     ("replay accounts every op", `Quick, test_replay_accounts_every_op);
     ("replay deterministic", `Quick, test_replay_deterministic);
     ("replay rejects bad config", `Quick, test_replay_rejects_bad_config);
-    ("write_batch matches per-op", `Slow, test_write_batch_matches_per_op);
-    ("write_batch validates range", `Quick, test_write_batch_validates_range);
     ( "traffic experiment deterministic across jobs; chaos degrades tails",
       `Slow,
       test_traffic_run_jobs_deterministic_and_chaos_degrades );
